@@ -33,8 +33,8 @@ func main() {
 		"serve /metrics, /debug/telemetry, /debug/journal and /debug/pprof on this address (empty = disabled)")
 	debugRemote := flag.Bool("debug-remote", false,
 		"allow non-loopback clients to reach the unauthenticated /debug/ surfaces (pprof, journal); off by default")
-	slowSpan := flag.Duration("slow-span", 0,
-		"log spans slower than this threshold to stderr (0 = disabled)")
+	slowChain := flag.Duration("slow-chain", 0,
+		"log detect→enforce chains whose end-to-end latency reaches this threshold to stderr, with device and trace ID (0 = disabled)")
 	sbAddr := flag.String("sb-addr", "127.0.0.1:0",
 		"southbound (switch control) listen address; empty = southbound disabled")
 	sbHeartbeat := flag.Duration("sb-heartbeat", openflow.DefaultHeartbeatInterval,
@@ -101,12 +101,6 @@ func main() {
 		fmt.Printf("iotsecd: journal ring capped at %d events\n", *journalCap)
 	}
 
-	if *slowSpan > 0 {
-		telemetry.Default.Spans().SetSlowThreshold(*slowSpan, func(fs telemetry.FinishedSpan) {
-			fmt.Fprintf(os.Stderr, "iotsecd: slow span %s took %s (trace %d)\n", fs.Name, fs.Duration, fs.TraceID)
-		})
-	}
-
 	bi := telemetry.RegisterBuildInfo(telemetry.Default, "iotsecd")
 	fmt.Printf("iotsecd: version %s (%s)\n", bi.Version, bi.GoVersion)
 
@@ -122,7 +116,15 @@ func main() {
 	// The MTTR pipeline is always on: it taps the forensic journal
 	// (drop-oldest, zero cost on the hot path when idle) and folds
 	// trace-correlated detect→enforce chains into live histograms.
-	tracker := slo.NewTracker(journal.Default, slo.Options{ChainTimeout: *sloChainTimeout})
+	trackerOpts := slo.Options{ChainTimeout: *sloChainTimeout}
+	if *slowChain > 0 {
+		trackerOpts.OnChain = func(traceID uint64, device string, e2e time.Duration) {
+			if e2e >= *slowChain {
+				fmt.Fprintf(os.Stderr, "iotsecd: slow chain on %s took %s (trace %d)\n", device, e2e, traceID)
+			}
+		}
+	}
+	tracker := slo.NewTracker(journal.Default, trackerOpts)
 	defer tracker.Close()
 	tracker.RegisterHealth(telemetry.Default.Health())
 

@@ -63,7 +63,9 @@ func main() {
 		{"f4", experiment.RunFigure4},
 		{"f5", experiment.RunFigure5},
 		{"a1", func() (*experiment.Table, error) { return experiment.RunAblationStatePruning(), nil }},
-		{"a2", func() (*experiment.Table, error) { return experiment.RunAblationHierarchy(2*time.Millisecond, *seed), nil }},
+		{"a2", func() (*experiment.Table, error) {
+			return experiment.RunAblationHierarchy(2*time.Millisecond, *seed), nil
+		}},
 		{"a3", experiment.RunAblationMicroMbox},
 		{"a4", func() (*experiment.Table, error) { return experiment.RunAblationFuzzCoverage(*seed), nil }},
 		{"a5", func() (*experiment.Table, error) { return experiment.RunAblationReputation(*seed), nil }},

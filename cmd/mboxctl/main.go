@@ -80,7 +80,7 @@ func main() {
 	switch args[0] {
 	case "stats":
 		raw := len(args) > 1 && args[1] == "-json"
-		if err := printStats(*telemetryAddr, raw); err != nil {
+		if err := printStats(os.Stdout, *telemetryAddr, raw); err != nil {
 			fmt.Fprintf(os.Stderr, "mboxctl: stats: %v\n", err)
 			os.Exit(1)
 		}
@@ -186,17 +186,17 @@ func main() {
 	}
 }
 
-// printStats fetches the JSON telemetry snapshot and renders it; with
-// raw set it relays the snapshot verbatim for scripting.
-func printStats(addr string, raw bool) error {
+// printStats fetches the JSON telemetry snapshot and renders it to w;
+// with raw set it relays the snapshot verbatim for scripting.
+func printStats(w io.Writer, addr string, raw bool) error {
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get("http://" + addr + "/debug/telemetry?spans=16")
+	resp, err := client.Get("http://" + addr + "/debug/telemetry")
 	if err != nil {
 		return fmt.Errorf("%w (is iotsecd running with -telemetry-addr %s?)", err, addr)
 	}
 	defer resp.Body.Close()
 	if raw {
-		_, err := io.Copy(os.Stdout, resp.Body)
+		_, err := io.Copy(w, resp.Body)
 		return err
 	}
 	var snap telemetry.SnapshotJSON
@@ -204,18 +204,18 @@ func printStats(addr string, raw bool) error {
 		return fmt.Errorf("decoding snapshot: %w", err)
 	}
 
-	fmt.Printf("telemetry snapshot @ %s\n", snap.TakenAt.Format(time.RFC3339))
+	fmt.Fprintf(w, "telemetry snapshot @ %s\n", snap.TakenAt.Format(time.RFC3339))
 	for _, m := range snap.Metrics {
 		if m.Name != "iotsec_build_info" {
 			continue
 		}
 		for _, s := range m.Samples {
-			fmt.Printf("build: %s %s (%s)\n",
+			fmt.Fprintf(w, "build: %s %s (%s)\n",
 				labelValue(s.Labels, "component"), labelValue(s.Labels, "version"),
 				labelValue(s.Labels, "go_version"))
 		}
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for _, m := range snap.Metrics {
 		switch m.Kind {
 		case telemetry.KindHistogram:
@@ -224,7 +224,7 @@ func printStats(addr string, raw bool) error {
 				if h.count > 0 {
 					mean = h.sum / h.count
 				}
-				fmt.Printf("%-52s count=%g mean=%.6g p50=%.6g p95=%.6g p99=%.6g\n",
+				fmt.Fprintf(w, "%-52s count=%g mean=%.6g p50=%.6g p95=%.6g p99=%.6g\n",
 					m.Name+h.key, h.count, mean,
 					h.quantile(0.50), h.quantile(0.95), h.quantile(0.99))
 			}
@@ -233,21 +233,9 @@ func printStats(addr string, raw bool) error {
 				continue // rendered in the header
 			}
 			for _, s := range m.Samples {
-				fmt.Printf("%-52s %g\n", m.Name+s.Labels.String(), s.Value)
+				fmt.Fprintf(w, "%-52s %g\n", m.Name+s.Labels.String(), s.Value)
 			}
 		}
-	}
-
-	fmt.Printf("\nspans: %d started, %d finished\n", snap.Spans.Started, snap.Spans.Finished)
-	recent := snap.Spans.Recent
-	sort.SliceStable(recent, func(i, j int) bool { return recent[i].Start.Before(recent[j].Start) })
-	for _, sp := range recent {
-		attrs := ""
-		if len(sp.Attrs) > 0 {
-			attrs = " " + sp.Attrs.String()
-		}
-		fmt.Printf("  %-28s %10s  trace=%d span=%d parent=%d%s\n",
-			sp.Name, sp.Duration, sp.TraceID, sp.ID, sp.ParentID, attrs)
 	}
 	return nil
 }

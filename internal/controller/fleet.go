@@ -350,19 +350,19 @@ type ShardSummary struct {
 
 // FleetSummary is the merged fleet-wide row.
 type FleetSummary struct {
-	Shards           int `json:"shards"`
-	StaleShards      int `json:"stale_shards"`
-	FailedOverShards int `json:"failed_over_shards"`
-	Devices      float64               `json:"devices"`
-	SKUDevices   map[string]float64    `json:"sku_devices,omitempty"`
-	Events       uint64                `json:"events_total"`
-	Escalations  uint64                `json:"escalations_total"`
-	Violations   uint64                `json:"violations_total"`
-	EventsPerSec float64               `json:"events_per_sec"`
-	MTTR         QuantilesJSON         `json:"mttr"`
-	TopProducers []telemetry.TopKEntry `json:"top_producers,omitempty"`
-	TopViolators []telemetry.TopKEntry `json:"top_violators,omitempty"`
-	TopMTTR      []telemetry.TopKEntry `json:"top_mttr_contributors,omitempty"`
+	Shards           int                   `json:"shards"`
+	StaleShards      int                   `json:"stale_shards"`
+	FailedOverShards int                   `json:"failed_over_shards"`
+	Devices          float64               `json:"devices"`
+	SKUDevices       map[string]float64    `json:"sku_devices,omitempty"`
+	Events           uint64                `json:"events_total"`
+	Escalations      uint64                `json:"escalations_total"`
+	Violations       uint64                `json:"violations_total"`
+	EventsPerSec     float64               `json:"events_per_sec"`
+	MTTR             QuantilesJSON         `json:"mttr"`
+	TopProducers     []telemetry.TopKEntry `json:"top_producers,omitempty"`
+	TopViolators     []telemetry.TopKEntry `json:"top_violators,omitempty"`
+	TopMTTR          []telemetry.TopKEntry `json:"top_mttr_contributors,omitempty"`
 }
 
 // FleetView is the merged picture served at /debug/fleet.

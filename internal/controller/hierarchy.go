@@ -8,15 +8,14 @@ import (
 	"time"
 
 	"iotsec/internal/device"
+	"iotsec/internal/journal"
 	"iotsec/internal/policy"
-	"iotsec/internal/telemetry"
 )
 
 // PostureSink receives recomputed postures for devices whose
 // treatment changed; the enforcement layer (µmbox orchestrator) wires
 // in here. ctx carries the causal trace of the event that forced the
-// recomputation, so enforcement spans and journal entries link back
-// to it.
+// recomputation, so enforcement journal entries link back to it.
 type PostureSink func(ctx context.Context, deviceName string, p policy.Posture, version uint64)
 
 // Global is the logically centralized controller: it owns the
@@ -369,13 +368,10 @@ func (h *Hierarchy) HandleDeviceEvent(ctx context.Context, e device.Event) {
 	if escalate {
 		h.escalated.Add(1)
 		mEscalations.Inc()
-		ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
-		span.SetAttr("device", e.Device)
 		if h.GlobalDelay > 0 {
 			time.Sleep(h.GlobalDelay)
 		}
-		h.Global.View.HandleDeviceEvent(ctx, e)
-		span.End()
+		h.Global.View.HandleDeviceEvent(journal.WithTrace(ctx), e)
 		return
 	}
 	h.localHandled.Add(1)
@@ -410,13 +406,10 @@ func (h *Hierarchy) HandleEnv(ctx context.Context, envVar, level string, group i
 	if escalate {
 		h.escalated.Add(1)
 		mEscalations.Inc()
-		ctx, span := telemetry.StartSpan(ctx, "controller.escalate")
-		span.SetAttr("env", envVar)
 		if h.GlobalDelay > 0 {
 			time.Sleep(h.GlobalDelay)
 		}
-		h.Global.View.SetEnv(ctx, envVar, level, reason)
-		span.End()
+		h.Global.View.SetEnv(journal.WithTrace(ctx), envVar, level, reason)
 		return
 	}
 	h.localHandled.Add(1)

@@ -208,7 +208,7 @@ func hostPorts(ports []uint16, devices []SteeredDevice) []uint16 {
 // send stamps a FLOW_MOD with the context's trace ID, journals it,
 // and pushes it to one switch.
 func (s *Steering) send(ctx context.Context, dpid uint64, fm *openflow.FlowMod, what string) {
-	fm.TraceID = telemetry.TraceID(ctx)
+	fm.TraceID = journal.TraceID(ctx)
 	mFlowMods.Inc()
 	journal.Record(ctx, journal.TypeFlowMod, journal.Info, what,
 		fmt.Sprintf("%s prio %d cookie %#x to dpid %d", fm.Command, fm.Priority, fm.Cookie, dpid))
@@ -237,9 +237,7 @@ func (s *Steering) program(ctx context.Context, dpid uint64) {
 	if !connected || (len(devices) == 0 && len(quarantined) == 0 && len(ruleSets) == 0) {
 		return
 	}
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.program")
-	span.SetAttr("dpid", fmt.Sprintf("%d", dpid))
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	defer telemetry.Time(mProgramSeconds)()
 
 	// With steered devices the table is rebuilt from scratch; with only
@@ -381,9 +379,7 @@ func (s *Steering) sendQuarantine(ctx context.Context, dpid uint64, name string,
 // rules carry the context's trace ID, so the forensic journal links
 // them to the anomaly that triggered the posture change.
 func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddress) {
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.isolate")
-	span.SetAttr("device", name)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	s.mu.Lock()
 	s.isolated[name] = mac
 	s.mu.Unlock()
@@ -399,9 +395,7 @@ func (s *Steering) Isolate(ctx context.Context, name string, mac packet.MACAddre
 // and the rules Isolate installed are removed from every connected
 // switch (delete-by-cookie), barrier-fenced.
 func (s *Steering) Release(ctx context.Context, name string, mac packet.MACAddress) {
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.release")
-	span.SetAttr("device", name)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	s.mu.Lock()
 	delete(s.isolated, name)
 	s.mu.Unlock()
@@ -450,9 +444,7 @@ func ruleSetCookies(mods []*openflow.FlowMod) []uint64 {
 // and must not collide with quarantine ('Q'-tagged) or steering
 // (= dpid) cookies.
 func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*openflow.FlowMod) {
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.install_rule_set")
-	span.SetAttr("set", name)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	kept := make([]*openflow.FlowMod, len(mods))
 	for i, fm := range mods {
 		cp := *fm
@@ -481,9 +473,7 @@ func (s *Steering) InstallRuleSet(ctx context.Context, name string, mods []*open
 // RemoveRuleSet drops a named rule set from the persisted state and
 // deletes its rules (by cookie) from every connected switch.
 func (s *Steering) RemoveRuleSet(ctx context.Context, name string) {
-	ctx, span := telemetry.StartSpan(ctx, "controller.steer.remove_rule_set")
-	span.SetAttr("set", name)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	s.mu.Lock()
 	mods, ok := s.ruleSets[name]
 	delete(s.ruleSets, name)

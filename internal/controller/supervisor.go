@@ -6,13 +6,11 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"iotsec/internal/journal"
 	"iotsec/internal/resilience"
-	"iotsec/internal/telemetry"
 )
 
 // FailMode selects what happens to a partition whose local controller
@@ -321,9 +319,7 @@ func (s *Supervisor) checkpointLocked(now time.Time) {
 // recovery-complete and observe the MTTR.
 func (s *Supervisor) failoverLocked(now time.Time, group int, gs *groupState) {
 	gs.dead = true
-	ctx, span := telemetry.StartSpan(context.Background(), "controller.failover")
-	span.SetAttr("group", strconv.Itoa(group))
-	defer span.End()
+	ctx := journal.WithTrace(context.Background())
 
 	failGlobal := s.opts.FailMode == FailModeGlobal
 	mCtrlFailovers.Inc()
@@ -368,7 +364,7 @@ func (s *Supervisor) failoverLocked(now time.Time, group int, gs *groupState) {
 		Group: group, DetectedAt: now, Misses: gs.misses, Target: res.Target,
 		QuarantinesRepushed: len(quar), VarsRestored: res.VarsRestored,
 		EventsReplayed: res.EventsReplayed, Recovery: recovery,
-		TraceID: telemetry.TraceID(ctx),
+		TraceID: journal.TraceID(ctx),
 	}
 	s.history.Push(rec)
 	if s.opts.Fleet != nil {

@@ -19,7 +19,6 @@ import (
 	"iotsec/internal/ids"
 	"iotsec/internal/journal"
 	"iotsec/internal/policy"
-	"iotsec/internal/telemetry"
 )
 
 // ViewChange describes one state-variable update.
@@ -118,7 +117,7 @@ func (v *View) apply(ctx context.Context, varName, value, reason string) {
 	mViewChanges.Inc()
 	change := ViewChange{
 		Var: varName, Value: value, Version: version, Reason: reason,
-		When: time.Now(), TraceID: telemetry.TraceID(ctx),
+		When: time.Now(), TraceID: journal.TraceID(ctx),
 	}
 	device := ""
 	if name, ok := strings.CutPrefix(varName, "dev:"); ok {

@@ -11,8 +11,8 @@ import (
 	"sync"
 
 	"iotsec/internal/ids"
+	"iotsec/internal/journal"
 	"iotsec/internal/policy"
-	"iotsec/internal/telemetry"
 )
 
 // Admin exposes a running Platform over a small JSON-over-TCP
@@ -148,10 +148,7 @@ func (a *Admin) handle(req AdminRequest) AdminResponse {
 		}
 		// Operator actions start fresh causal chains too: an admin
 		// quarantine shows up in the journal with its own trace ID.
-		ctx, span := telemetry.StartSpan(context.Background(), "core.admin.set_context")
-		span.SetAttr("device", req.Device)
-		p.Global.View.SetDeviceContext(ctx, req.Device, sc, "admin")
-		span.End()
+		p.Global.View.SetDeviceContext(journal.WithTrace(context.Background()), req.Device, sc, "admin")
 		return AdminResponse{OK: true}
 	case "inject-anomaly":
 		// Forensic drill: drive a synthetic anomaly through the real

@@ -112,10 +112,9 @@ func (p *Platform) EscalateFailMode(reason string) int {
 	}
 	p.mu.Unlock()
 	n := p.Manager.SetFailModeAll(mbox.FailClosed)
-	ctx, span := telemetry.StartSpan(context.Background(), "core.escalate_fail_mode")
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeMboxReconfig, journal.Warn, "",
 		fmt.Sprintf("fail-mode escalated to closed on %d pipeline(s): %s", n, reason))
-	span.End()
 	return n
 }
 
@@ -141,9 +140,8 @@ func (p *Platform) DeescalateFailMode(reason string) int {
 			n++
 		}
 	}
-	ctx, span := telemetry.StartSpan(context.Background(), "core.deescalate_fail_mode")
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeMboxReconfig, journal.Info, "",
 		fmt.Sprintf("fail-mode restored on %d pipeline(s): %s", n, reason))
-	span.End()
 	return n
 }

@@ -27,7 +27,6 @@ import (
 	"iotsec/internal/netsim"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
-	"iotsec/internal/telemetry"
 )
 
 // Options configure a Platform.
@@ -174,14 +173,13 @@ func New(opts Options) (*Platform, error) {
 	p.Global = controller.NewGlobal(opts.Policy, p.applyPosture)
 
 	// Environment → view: discretized levels feed the global state.
-	// Each tick is a fresh causal chain (a root span), so any posture
+	// Each tick is a fresh causal chain (a new trace ID), so any posture
 	// change it provokes is traceable back to the reading.
 	p.Env.AddObserver(func(s envsim.Snapshot, _ map[string]float64) {
-		ctx, span := telemetry.StartSpan(context.Background(), "core.env_tick")
+		ctx := journal.WithTrace(context.Background())
 		for _, v := range p.disc.Variables() {
 			p.reportEnv(ctx, v, p.disc.Value(v, s.Get(v)))
 		}
-		span.End()
 	})
 	return p, nil
 }
@@ -348,9 +346,9 @@ func (p *Platform) SignatureRules(sku string) []string {
 // applyPosture is the PostureSink: translate the posture into an
 // element chain and live-reconfigure the device's µmbox. It closes
 // Figure 2's loop, so it also emits the event→enforcement latency
-// (measured from the view commit that triggered it) and a span — a
-// child of whatever event chain provoked the posture, so the journal
-// timeline for the trace reads anomaly → posture → FLOW_MOD →
+// (measured from the view commit that triggered it) and journals the
+// posture under the trace of whatever event chain provoked it, so the
+// journal timeline for the trace reads anomaly → posture → FLOW_MOD →
 // mbox-reconfig in sequence order.
 func (p *Platform) applyPosture(ctx context.Context, deviceName string, posture policy.Posture, version uint64) {
 	p.mu.Lock()
@@ -374,9 +372,7 @@ func (p *Platform) applyPosture(ctx context.Context, deviceName string, posture 
 	p.lastVersion = version
 	p.mu.Unlock()
 
-	ctx, span := telemetry.StartSpan(ctx, "core.apply_posture")
-	span.SetAttr("device", deviceName)
-	span.SetAttr("version", strconv.FormatUint(version, 10))
+	ctx = journal.WithTrace(ctx)
 	sev := journal.Info
 	if posture.Isolate {
 		sev = journal.Warn
@@ -394,7 +390,6 @@ func (p *Platform) applyPosture(ctx context.Context, deviceName string, posture 
 	}
 	elements := p.buildPipeline(m, posture)
 	_ = p.Manager.Reconfigure(ctx, "mb-"+deviceName, elements...)
-	span.End()
 	mPostureApplies.Inc()
 	if version > 0 {
 		if committed, ok := p.Global.CommitTime(version); ok {
@@ -428,12 +423,10 @@ func (p *Platform) UseSteering(s *controller.Steering) {
 	}
 	p.mu.Unlock()
 	for _, q := range toIsolate {
-		ctx, span := telemetry.StartSpan(context.Background(), "core.use_steering")
-		span.SetAttr("device", q.name)
+		ctx := journal.WithTrace(context.Background())
 		journal.Record(ctx, journal.TypePosture, journal.Warn, q.name,
 			"steering attached: re-applying standing quarantine")
 		s.Isolate(ctx, q.name, q.mac)
-		span.End()
 	}
 	// Parked profile enforcement gets its rules onto the wire now.
 	if plane != nil && s != nil {
@@ -442,11 +435,10 @@ func (p *Platform) UseSteering(s *controller.Steering) {
 }
 
 // ReportDeviceEvent feeds one device event into the view as a fresh
-// causal chain (root span + journal record). Device event sinks call
-// this; tests can inject synthetic events through it.
+// causal chain (new trace ID + journal record). Device event sinks
+// call this; tests can inject synthetic events through it.
 func (p *Platform) ReportDeviceEvent(e device.Event) {
-	ctx, span := telemetry.StartSpan(context.Background(), "core.device_event")
-	span.SetAttr("device", e.Device)
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeDeviceEvent, journal.Debug, e.Device,
 		fmt.Sprintf("%s: %s", e.Kind, e.Detail))
 	p.mu.Lock()
@@ -460,7 +452,6 @@ func (p *Platform) ReportDeviceEvent(e device.Event) {
 	} else {
 		p.Global.View.HandleDeviceEvent(ctx, e)
 	}
-	span.End()
 }
 
 // reportEnv routes one discretized environment level: through the
@@ -488,23 +479,19 @@ func (p *Platform) reportEnv(ctx context.Context, envVar, level string) {
 // synthetic anomalies through it and then follow the resulting trace
 // ID through the journal.
 func (p *Platform) ReportAnomaly(a ids.Anomaly) {
-	ctx, span := telemetry.StartSpan(context.Background(), "core.anomaly")
-	span.SetAttr("device", a.Device)
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeAnomaly, journal.Warn, a.Device,
 		fmt.Sprintf("%s: %s (score %.2f)", a.Kind, a.Detail, a.Score))
 	p.Global.View.HandleAnomaly(ctx, a)
-	span.End()
 }
 
 // ReportAlert feeds one IDS alert into the view as a fresh causal
 // chain.
 func (p *Platform) ReportAlert(deviceName string, a ids.Alert) {
-	ctx, span := telemetry.StartSpan(context.Background(), "core.alert")
-	span.SetAttr("device", deviceName)
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeAlert, journal.Warn, deviceName,
 		fmt.Sprintf("sid %d: %s", a.SID, a.Msg))
 	p.Global.View.HandleAlert(ctx, deviceName, a)
-	span.End()
 }
 
 // buildPipeline translates a posture into concrete µmbox elements.

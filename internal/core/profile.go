@@ -279,13 +279,11 @@ func (pl *ProfilePlane) EnforceDevice(ctx context.Context, name string) error {
 			"enforcement parked: no steering attached")
 		return nil
 	}
-	ctx, span := telemetry.StartSpan(ctx, "core.profile_enforce")
-	span.SetAttr("device", name)
+	ctx = journal.WithTrace(ctx)
 	steering.InstallRuleSet(ctx, "profile:"+name, mods)
 	journal.Record(ctx, journal.TypeProfileEnforced, journal.Info, name,
 		fmt.Sprintf("sku %s v%d: deny floor + %d rules (%d services)",
 			prof.SKU, prof.Version, len(mods), len(prof.Services)))
-	span.End()
 	return nil
 }
 
@@ -329,9 +327,7 @@ func (pl *ProfilePlane) steeringAttached() {
 // anomaly→posture→FLOW_MOD→mbox-reconfig sequence (and its MTTR
 // accounting) covers profile events.
 func (pl *ProfilePlane) onViolation(v profile.Violation) {
-	ctx, span := telemetry.StartSpan(context.Background(), "core.profile_violation")
-	span.SetAttr("device", v.Device)
-	span.SetAttr("kind", v.Kind)
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeProfileViolation, journal.Warn, v.Device,
 		fmt.Sprintf("%s: %s", v.Kind, v.Detail))
 	journal.Record(ctx, journal.TypeAnomaly, journal.Warn, v.Device,
@@ -343,15 +339,13 @@ func (pl *ProfilePlane) onViolation(v profile.Violation) {
 		Score:  1,
 		When:   v.When,
 	})
-	span.End()
 }
 
 // onRogue cuts an unregistered sender off at the switch. The
 // quarantine persists in steering state (re-emitted on every switch
 // reconnect) under a synthetic "rogue-<mac>" name.
 func (pl *ProfilePlane) onRogue(mac packet.MACAddress, srcNode string) {
-	ctx, span := telemetry.StartSpan(context.Background(), "core.rogue_quarantine")
-	span.SetAttr("mac", mac.String())
+	ctx := journal.WithTrace(context.Background())
 	journal.Record(ctx, journal.TypeRogueQuarantine, journal.Critical, srcNode,
 		fmt.Sprintf("unregistered MAC %s sourcing traffic; quarantining", mac))
 	pl.p.mu.Lock()
@@ -360,5 +354,4 @@ func (pl *ProfilePlane) onRogue(mac packet.MACAddress, srcNode string) {
 	if steering != nil {
 		steering.Isolate(ctx, "rogue-"+mac.String(), mac)
 	}
-	span.End()
 }

@@ -15,7 +15,6 @@ import (
 	"iotsec/internal/journal"
 	"iotsec/internal/packet"
 	"iotsec/internal/policy"
-	"iotsec/internal/telemetry"
 )
 
 // ReplayResult is the verdict of re-driving one captured incident
@@ -146,9 +145,8 @@ func replayDetection(s *forensics.Scenario) (*ReplayResult, error) {
 	if s.Kind == forensics.KindRogueQuarantine {
 		sev = journal.Critical
 	}
-	ctx, span := telemetry.StartSpan(context.Background(), "experiment.replay")
-	span.SetAttr("incident", s.Incident)
-	res.TraceID = telemetry.TraceID(ctx)
+	ctx := journal.WithTrace(context.Background())
+	res.TraceID = journal.TraceID(ctx)
 	start := time.Now()
 	journal.Record(ctx, trigger, sev, s.Device, detail)
 	if trigger != journal.TypeAnomaly {
@@ -165,7 +163,6 @@ func replayDetection(s *forensics.Scenario) (*ReplayResult, error) {
 		Score:  1,
 		When:   start,
 	})
-	span.End()
 
 	res.WithinSLO = waitUntil(func() bool {
 		return len(missingStages(res.TraceID, res.Expected)) == 0

@@ -364,14 +364,14 @@ func (c *Capturer) TraceEvents(traceID uint64) []journal.Event {
 
 // CapturerStats is the capture accounting snapshot.
 type CapturerStats struct {
-	Shard       string `json:"shard,omitempty"`
-	Open        int    `json:"open"`
-	Captured    uint64 `json:"captured_total"`
-	Events      uint64 `json:"events_captured_total"`
-	OpenDrops   uint64 `json:"open_drops_total"`
-	TapEvicted  uint64 `json:"tap_evicted_total"`
-	TapPending  int    `json:"tap_pending"`
-	StoreStats  *StoreStats `json:"store,omitempty"`
+	Shard      string      `json:"shard,omitempty"`
+	Open       int         `json:"open"`
+	Captured   uint64      `json:"captured_total"`
+	Events     uint64      `json:"events_captured_total"`
+	OpenDrops  uint64      `json:"open_drops_total"`
+	TapEvicted uint64      `json:"tap_evicted_total"`
+	TapPending int         `json:"tap_pending"`
+	StoreStats *StoreStats `json:"store,omitempty"`
 }
 
 // Stats snapshots the capturer (and its store, when attached).

@@ -3,10 +3,15 @@
 // loop — detected anomalies, IDS alerts, device events, FSM posture
 // transitions, FLOW_MOD emission/application, µmbox boots and
 // reconfigurations, and signature publishes/votes. Every event
-// carries the trace ID of the causal chain it belongs to (threaded
-// end-to-end via context.Context and internal/telemetry spans), a
-// wall-clock timestamp and a monotonic offset, so a single sensor
-// anomaly can be reconstructed into the exact enforcement it caused.
+// carries the trace ID of the causal chain it belongs to, a wall-clock
+// timestamp and a monotonic offset, so a single sensor anomaly can be
+// reconstructed into the exact enforcement it caused.
+//
+// The journal is the only trace record. It also owns the trace
+// carrier: WithTrace threads a trace ID through context.Context from
+// the root of a chain to every step it causes, and Record stamps each
+// event with it. Slow-chain reporting and per-stage latencies are
+// derived from these events (internal/slo).
 //
 // The write path is one short mutex-guarded slot store (no
 // allocation, no fan-out unless a tail subscriber is attached); the
@@ -242,12 +247,12 @@ func init() {
 	})
 }
 
-// Record stamps and appends an event, deriving the trace ID from the
-// span carried by ctx. This is the call instrumented code makes.
+// Record stamps and appends an event under the trace ID carried by
+// ctx (see WithTrace). This is the call instrumented code makes.
 func (j *Journal) Record(ctx context.Context, t Type, sev Severity, device, detail string) {
 	now := time.Now()
 	e := Event{
-		TraceID:  telemetry.TraceID(ctx),
+		TraceID:  TraceID(ctx),
 		Wall:     now,
 		Mono:     now.Sub(j.start),
 		Type:     t,

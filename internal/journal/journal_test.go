@@ -10,16 +10,13 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"iotsec/internal/telemetry"
 )
 
 func TestAppendAssignsSequenceAndTrace(t *testing.T) {
 	j := New(16)
-	ctx, span := telemetry.StartSpan(context.Background(), "test.root")
+	ctx := WithTrace(context.Background())
 	j.Record(ctx, TypeAnomaly, Warn, "cam", "weird traffic")
 	j.Record(ctx, TypePosture, Info, "cam", "isolate")
-	span.End()
 	j.Record(context.Background(), TypeAlert, Critical, "wemo", "untraced")
 
 	events := j.Snapshot(Filter{})
@@ -30,7 +27,7 @@ func TestAppendAssignsSequenceAndTrace(t *testing.T) {
 		t.Fatalf("bad sequence numbers: %+v", events)
 	}
 	if events[0].TraceID == 0 || events[0].TraceID != events[1].TraceID {
-		t.Fatalf("span-traced events should share a nonzero trace ID: %+v", events[:2])
+		t.Fatalf("traced events should share a nonzero trace ID: %+v", events[:2])
 	}
 	if events[2].TraceID != 0 {
 		t.Fatalf("background-context event should be untraced, got trace %d", events[2].TraceID)
@@ -327,8 +324,7 @@ func BenchmarkJournalAppend(b *testing.B) {
 
 func BenchmarkJournalAppendTraced(b *testing.B) {
 	j := New(8192)
-	ctx, span := telemetry.StartSpan(context.Background(), "bench.trace")
-	defer span.End()
+	ctx := WithTrace(context.Background())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

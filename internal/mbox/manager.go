@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"iotsec/internal/journal"
-	"iotsec/internal/telemetry"
 )
 
 // PlatformKind models what the µmbox instance boots as; the relative
@@ -124,10 +123,7 @@ func (m *Manager) place() (string, error) {
 // µmbox" arrow pays. The context carries the causal trace of whatever
 // decision requested the boot.
 func (m *Manager) Launch(ctx context.Context, name string, platform PlatformKind, pipeline *Pipeline) (*Instance, error) {
-	ctx, span := telemetry.StartSpan(ctx, "mbox.launch")
-	span.SetAttr("mbox", name)
-	span.SetAttr("platform", string(platform))
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	m.mu.Lock()
 	if _, dup := m.instances[name]; dup {
 		m.mu.Unlock()
@@ -173,9 +169,7 @@ func (m *Manager) Launch(ctx context.Context, name string, platform PlatformKind
 // traffic interruption) — the agility §5.2 demands. The context
 // carries the causal trace of the posture change that requested it.
 func (m *Manager) Reconfigure(ctx context.Context, name string, elements ...Element) error {
-	ctx, span := telemetry.StartSpan(ctx, "mbox.reconfigure")
-	span.SetAttr("mbox", name)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	m.mu.Lock()
 	inst := m.instances[name]
 	if inst == nil {

@@ -15,7 +15,7 @@ type countElem struct {
 	hits atomic.Uint64
 }
 
-func (c *countElem) Name() string               { return c.name }
+func (c *countElem) Name() string                 { return c.name }
 func (c *countElem) Process(ctx *Context) Verdict { c.hits.Add(1); return Forward }
 
 // TestPipelineReconfigureUnderTraffic hammers Process from several

@@ -86,13 +86,13 @@ type Engine struct {
 	active atomic.Bool
 
 	mu         sync.Mutex
-	ids        map[string]Identity                // device name → identity
-	deviceMACs map[packet.MACAddress]string       // registered device MACs
-	hostMACs   map[packet.MACAddress]bool         // known benign non-device MACs
-	profiles   map[string]*Profile                // accepted, by SKU
-	enforced   map[string]*enforcedState          // by device name (== node name)
-	rogues     map[packet.MACAddress]bool         // reported rogue MACs
-	violations []Violation                        // bounded recent ring
+	ids        map[string]Identity          // device name → identity
+	deviceMACs map[packet.MACAddress]string // registered device MACs
+	hostMACs   map[packet.MACAddress]bool   // known benign non-device MACs
+	profiles   map[string]*Profile          // accepted, by SKU
+	enforced   map[string]*enforcedState    // by device name (== node name)
+	rogues     map[packet.MACAddress]bool   // reported rogue MACs
+	violations []Violation                  // bounded recent ring
 	lockdown   bool
 	learning   bool
 

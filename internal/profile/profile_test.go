@@ -80,9 +80,9 @@ func TestProfileAllows(t *testing.T) {
 	cloud := packet.MustParseIPv4("192.0.2.10")
 	other := packet.MustParseIPv4("192.0.2.99")
 	p := &Profile{SKU: "s", Version: 1, Services: []Service{
-		{Proto: "tcp", Port: 80},                                            // served
-		{Proto: "udp", Port: 443, Initiated: true, Remote: cloud.String()},  // pinned
-		{Proto: "udp", Port: 53, Initiated: true},                           // any remote
+		{Proto: "tcp", Port: 80}, // served
+		{Proto: "udp", Port: 443, Initiated: true, Remote: cloud.String()}, // pinned
+		{Proto: "udp", Port: 53, Initiated: true},                          // any remote
 	}}
 	tests := []struct {
 		proto            string
@@ -90,7 +90,7 @@ func TestProfileAllows(t *testing.T) {
 		dst              packet.IPv4Address
 		want             bool
 	}{
-		{"tcp", 80, 55000, other, true},   // reply from the served port
+		{"tcp", 80, 55000, other, true}, // reply from the served port
 		{"tcp", 8080, 55000, other, false},
 		{"udp", 40000, 443, cloud, true},  // pinned cloud check-in
 		{"udp", 40000, 443, other, false}, // same port, wrong endpoint

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"iotsec/internal/journal"
-	"iotsec/internal/telemetry"
 )
 
 // Notification announces a newly cleared signature to a subscriber.
@@ -155,9 +154,7 @@ func (r *Repository) Pseudonym(identity string) string { return r.anon.Pseudonym
 // clear threshold's worth of trust. The context carries the causal
 // trace of the detection that distilled the signature.
 func (r *Repository) Publish(ctx context.Context, identity, sku, ruleText, description string) (*Signature, error) {
-	ctx, span := telemetry.StartSpan(ctx, "sigrepo.publish")
-	span.SetAttr("sku", sku)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	scrubbed := r.anon.ScrubRule(ruleText)
 	if err := Validate(sku, scrubbed); err != nil {
 		mPublishRejected.Inc()
@@ -227,9 +224,7 @@ func (r *Repository) Publish(ctx context.Context, identity, sku, ruleText, descr
 // signature, contributor reputations update and (on clearing)
 // subscribers are notified.
 func (r *Repository) Vote(ctx context.Context, identity, sigID string, up bool) (*Signature, error) {
-	ctx, span := telemetry.StartSpan(ctx, "sigrepo.vote")
-	span.SetAttr("sig", sigID)
-	defer span.End()
+	ctx = journal.WithTrace(ctx)
 	pseudo := r.anon.Pseudonym(identity)
 	weight := r.rep.VoteWeight(pseudo)
 

@@ -10,8 +10,8 @@ import (
 	"sync"
 	"time"
 
+	"iotsec/internal/journal"
 	"iotsec/internal/resilience"
-	"iotsec/internal/telemetry"
 )
 
 // Wire protocol: newline-delimited JSON messages over TCP. Clients
@@ -227,15 +227,13 @@ func (s *Server) serve(conn net.Conn) {
 		}
 		mServerRequests.Inc()
 		// Each wire request is a fresh causal chain on the repository
-		// side; the root span gives it a trace ID the journal records
-		// under.
-		ctx, span := telemetry.StartSpan(context.Background(), "sigrepo.server."+req.Op)
+		// side, with its own trace ID the journal records under.
+		ctx := journal.WithTrace(context.Background())
 		switch req.Op {
 		case "publish":
 			sig, err := s.repo.Publish(ctx, req.Identity, req.SKU, req.Rule, req.Description)
 			if err != nil {
 				_ = send(wireResponse{Kind: "reply", Error: err.Error()})
-				span.End()
 				continue
 			}
 			_ = send(wireResponse{Kind: "reply", OK: true, Signature: sig})
@@ -243,7 +241,6 @@ func (s *Server) serve(conn net.Conn) {
 			sig, err := s.repo.Vote(ctx, req.Identity, req.SigID, req.Up)
 			if err != nil {
 				_ = send(wireResponse{Kind: "reply", Error: err.Error()})
-				span.End()
 				continue
 			}
 			_ = send(wireResponse{Kind: "reply", OK: true, Signature: sig})
@@ -282,7 +279,6 @@ func (s *Server) serve(conn net.Conn) {
 		default:
 			_ = send(wireResponse{Kind: "reply", Error: "unknown op " + req.Op})
 		}
-		span.End()
 	}
 }
 

@@ -67,6 +67,13 @@ type Options struct {
 	// nil); tests inject a FakeClock. Stage latencies do NOT use it —
 	// they come from the journal's own monotonic event offsets.
 	Clock resilience.Clock
+	// OnChain, when set, is called once per completed chain with its
+	// trace ID, the detected device and the end-to-end latency taken
+	// from the journal's monotonic offsets — the hook slow-chain
+	// reporting hangs off. It runs on whichever goroutine drained the
+	// closing event (the consumer, or a Sync caller), outside the
+	// tracker's lock, so it must be quick and safe for concurrent use.
+	OnChain func(traceID uint64, device string, e2e time.Duration)
 }
 
 // chain is one in-flight detect→enforce correlation.
@@ -96,6 +103,7 @@ type Tracker struct {
 	chainTimeout time.Duration
 	sweepEvery   time.Duration
 	healthHold   time.Duration
+	onChain      func(traceID uint64, device string, e2e time.Duration)
 
 	mStage      *telemetry.HistogramVec
 	mE2E        *telemetry.Histogram
@@ -161,6 +169,7 @@ func NewTracker(j *journal.Journal, opts Options) *Tracker {
 		chainTimeout: timeout,
 		sweepEvery:   sweep,
 		healthHold:   hold,
+		onChain:      opts.OnChain,
 		chains:       make(map[uint64]*chain),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
@@ -203,17 +212,27 @@ func (t *Tracker) run() {
 	}
 }
 
-// handle folds one journal event into chain state.
+// handle folds one journal event into chain state and reports a chain
+// the event completed to OnChain once the lock is released.
 func (t *Tracker) handle(e journal.Event) {
 	if e.TraceID == 0 {
 		return
 	}
 	t.mu.Lock()
-	defer t.mu.Unlock()
+	device, e2e, completed := t.foldLocked(e)
+	t.mu.Unlock()
+	if completed && t.onChain != nil {
+		t.onChain(e.TraceID, device, e2e)
+	}
+}
+
+// foldLocked applies e to its chain, reporting the chain's device and
+// end-to-end latency when e closed it.
+func (t *Tracker) foldLocked(e journal.Event) (device string, e2e time.Duration, completed bool) {
 	switch e.Type {
 	case journal.TypeAnomaly, journal.TypeAlert, journal.TypeDeviceEvent:
 		if _, ok := t.chains[e.TraceID]; ok {
-			return // keep the first detection of the chain
+			break // keep the first detection of the chain
 		}
 		t.chains[e.TraceID] = &chain{
 			device:   e.Device,
@@ -228,11 +247,12 @@ func (t *Tracker) handle(e journal.Event) {
 		t.stageLocked(e, StageFlowMod, StagePosture)
 	case journal.TypeFlowApplied:
 		t.stageLocked(e, StageFlowApplied, StageFlowMod)
-		t.maybeCompleteLocked(e.TraceID)
+		return t.maybeCompleteLocked(e.TraceID)
 	case journal.TypeMboxReconfig:
 		t.stageLocked(e, StageMboxReconfig, StagePosture)
-		t.maybeCompleteLocked(e.TraceID)
+		return t.maybeCompleteLocked(e.TraceID)
 	}
+	return "", 0, false
 }
 
 // stageLocked records the first occurrence of a stage as a delta from
@@ -267,18 +287,18 @@ func (t *Tracker) stageLocked(e journal.Event, stage, pred string) {
 // (FLOW_MODs are journaled synchronously before the reconfig event,
 // so by the time mbox-reconfig arrives we know whether to wait for a
 // flow-applied.) End-to-end latency is detection → latest stage.
-func (t *Tracker) maybeCompleteLocked(traceID uint64) {
+func (t *Tracker) maybeCompleteLocked(traceID uint64) (device string, e2e time.Duration, completed bool) {
 	c, ok := t.chains[traceID]
 	if !ok {
-		return
+		return "", 0, false
 	}
 	if _, ok := c.stages[StageMboxReconfig]; !ok {
-		return
+		return "", 0, false
 	}
 	_, flowMod := c.stages[StageFlowMod]
 	_, applied := c.stages[StageFlowApplied]
 	if flowMod && !applied {
-		return
+		return "", 0, false
 	}
 	last := c.start
 	for _, m := range c.stages {
@@ -286,9 +306,11 @@ func (t *Tracker) maybeCompleteLocked(traceID uint64) {
 			last = m
 		}
 	}
-	t.mE2E.Observe((last - c.start).Seconds())
+	e2e = last - c.start
+	t.mE2E.Observe(e2e.Seconds())
 	t.mCompleted.Inc()
 	t.dropLocked(traceID)
+	return c.device, e2e, true
 }
 
 // sweep expires chains past their deadline, counting each under its

@@ -2,6 +2,7 @@ package slo_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -137,6 +138,71 @@ func TestTrackerChainWithoutFlowModsCompletes(t *testing.T) {
 		v, ok := sample(reg, "iotsec_mttr_complete_total", "", nil)
 		return ok && v == 1
 	})
+}
+
+// TestTrackerOnChainFiresPerCompletedChain: the OnChain hook sees each
+// completed chain exactly once, with the end-to-end latency the
+// journal's own monotonic offsets give, and never sees a chain that
+// times out incomplete.
+func TestTrackerOnChainFiresPerCompletedChain(t *testing.T) {
+	type call struct {
+		trace  uint64
+		device string
+		e2e    time.Duration
+	}
+	var mu sync.Mutex
+	var calls []call
+	clk := resilience.NewFakeClock(time.Unix(1000, 0))
+	j := journal.New(256)
+	tr := slo.NewTracker(j, slo.Options{
+		Registry: telemetry.NewRegistry(), ChainTimeout: time.Second, Clock: clk,
+		OnChain: func(trace uint64, device string, e2e time.Duration) {
+			mu.Lock()
+			calls = append(calls, call{trace, device, e2e})
+			mu.Unlock()
+		},
+	})
+	defer tr.Close()
+
+	emitChain(j, 7, true)
+	emitChain(j, 8, false)
+	// A late duplicate stage on a closed chain must not fire again.
+	j.RecordTrace(7, journal.TypeMboxReconfig, journal.Info, "wemo", "pipeline rebuilt again")
+	// Trace 9 stalls after its posture and times out incomplete.
+	j.RecordTrace(9, journal.TypeAnomaly, journal.Warn, "cam", "synthetic anomaly")
+	j.RecordTrace(9, journal.TypePosture, journal.Info, "cam", "posture isolate=true")
+	waitInflight(t, tr, 1)
+	clk.Advance(2 * time.Second)
+	tr.Sync()
+	waitFor(t, "incomplete sweep", func() bool { return tr.Incomplete() == 1 })
+
+	want := map[uint64]time.Duration{}
+	for _, trace := range []uint64{7, 8} {
+		events := j.Snapshot(journal.Filter{TraceID: trace})
+		// The chain closes on its first mbox-reconfig; for trace 7 that
+		// is the event before the late duplicate.
+		last := events[len(events)-1].Mono
+		if trace == 7 {
+			last = events[len(events)-2].Mono
+		}
+		want[trace] = last - events[0].Mono
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(calls) != 2 {
+		t.Fatalf("OnChain fired %d times (%+v), want once per completed chain (2)", len(calls), calls)
+	}
+	for _, c := range calls {
+		w, ok := want[c.trace]
+		if !ok {
+			t.Errorf("OnChain fired for trace %d, which never completed", c.trace)
+			continue
+		}
+		if c.device != "wemo" || c.e2e != w {
+			t.Errorf("trace %d: OnChain(device %q, e2e %v), want (wemo, %v)", c.trace, c.device, c.e2e, w)
+		}
+		delete(want, c.trace)
+	}
 }
 
 // TestTrackerStalledFlowAppliedCountsIncomplete: flow-mods on the wire

@@ -78,9 +78,9 @@ type HistogramSource struct {
 	H *telemetry.Histogram
 }
 
-func (s HistogramSource) Sync()                              {}
+func (s HistogramSource) Sync()                             {}
 func (s HistogramSource) Rollup() telemetry.HistogramRollup { return s.H.Rollup() }
-func (s HistogramSource) Incomplete() uint64                 { return 0 }
+func (s HistogramSource) Incomplete() uint64                { return 0 }
 
 // WatchdogOptions configures the evaluation machinery.
 type WatchdogOptions struct {

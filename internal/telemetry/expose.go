@@ -43,7 +43,6 @@ func formatValue(v float64) string {
 type SnapshotJSON struct {
 	TakenAt time.Time    `json:"taken_at"`
 	Metrics []MetricJSON `json:"metrics"`
-	Spans   SpansJSON    `json:"spans"`
 }
 
 // MetricJSON is one metric family in a snapshot.
@@ -61,19 +60,9 @@ type SampleJSON struct {
 	Value  float64 `json:"value"`
 }
 
-// SpansJSON summarizes the span store in a snapshot.
-type SpansJSON struct {
-	Started  uint64         `json:"started"`
-	Finished uint64         `json:"finished"`
-	Recent   []FinishedSpan `json:"recent,omitempty"`
-}
-
-// Snapshot captures the registry (including up to recentSpans recent
-// spans; <= 0 means 32).
-func (r *Registry) Snapshot(recentSpans int) *SnapshotJSON {
-	if recentSpans <= 0 {
-		recentSpans = 32
-	}
+// Snapshot captures the registry. The argument is ignored; it is kept
+// for source compatibility with existing callers.
+func (r *Registry) Snapshot(int) *SnapshotJSON {
 	snap := &SnapshotJSON{TakenAt: time.Now()}
 	for _, f := range r.families() {
 		mj := MetricJSON{Name: f.Name, Kind: f.Kind, Help: f.Help}
@@ -82,8 +71,6 @@ func (r *Registry) Snapshot(recentSpans int) *SnapshotJSON {
 		}
 		snap.Metrics = append(snap.Metrics, mj)
 	}
-	started, finished := r.spans.Stats()
-	snap.Spans = SpansJSON{Started: started, Finished: finished, Recent: r.spans.Recent(recentSpans)}
 	return snap
 }
 
@@ -97,17 +84,11 @@ func (r *Registry) Handler() http.Handler {
 
 // DebugHandler serves the JSON snapshot (mount at /debug/telemetry).
 func (r *Registry) DebugHandler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		n := 32
-		if s := req.URL.Query().Get("spans"); s != "" {
-			if v, err := strconv.Atoi(s); err == nil {
-				n = v
-			}
-		}
+	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(r.Snapshot(n))
+		_ = enc.Encode(r.Snapshot(0))
 	})
 }
 
@@ -126,7 +107,7 @@ type Server struct {
 	done   chan struct{}
 }
 
-// AllowRemoteDebug opens the /debug/ surfaces (pprof profiles, span
+// AllowRemoteDebug opens the /debug/ surfaces (pprof profiles, metric
 // snapshots, forensic journal mounts) to non-loopback clients. By
 // default they answer only to loopback peers, because profiling and
 // forensic event data are served unauthenticated: binding the

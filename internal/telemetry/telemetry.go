@@ -1,9 +1,10 @@
 // Package telemetry is IoTSec's zero-dependency observability
 // subsystem: a metrics registry (lock-free counters and gauges,
-// sharded histograms, labeled vectors with a copy-on-write index), a
-// lightweight tracing facility (context-carried spans with a bounded
-// ring-buffer store), and exposition (Prometheus text format, JSON
-// snapshots, periodic flush hooks).
+// sharded histograms, labeled vectors with a copy-on-write index),
+// component health, fleet rollups, and exposition (Prometheus text
+// format, JSON snapshots, periodic flush hooks). It records no traces:
+// causal chains live in the event journal (internal/journal), the one
+// trace record.
 //
 // Design constraints, in order:
 //
@@ -132,22 +133,19 @@ type Collector func(emit func(name string, kind Kind, help string, labels Labels
 type Registry struct {
 	mu         sync.RWMutex
 	metrics    map[string]Metric
-	order      []string            // registration order of metric names
+	order      []string             // registration order of metric names
 	collectors map[string]Collector // by collector ID (replace-on-reregister)
 	collOrder  []string
 
-	spans  *SpanStore
 	health *HealthRegistry
 }
 
-// NewRegistry builds an empty registry with a default span store
-// (capacity 1024, sample every trace) and an empty component-health
+// NewRegistry builds an empty registry with an empty component-health
 // aggregator whose gauges ride on every scrape.
 func NewRegistry() *Registry {
 	r := &Registry{
 		metrics:    make(map[string]Metric),
 		collectors: make(map[string]Collector),
-		spans:      NewSpanStore(1024, 1),
 		health:     NewHealthRegistry(),
 	}
 	r.RegisterCollector("component-health", healthCollector(r.health))
@@ -203,9 +201,6 @@ func (r *Registry) UnregisterCollector(id string) {
 		}
 	}
 }
-
-// Spans returns the registry's span store.
-func (r *Registry) Spans() *SpanStore { return r.spans }
 
 // snapshotMetrics lists registered metrics in registration order plus
 // collector output, flattened into families.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -154,61 +153,6 @@ func TestCollector(t *testing.T) {
 		t.Fatal("replaced collector still emitting")
 	}
 	r.UnregisterCollector("ports:sw1")
-}
-
-func TestSpans(t *testing.T) {
-	st := NewSpanStore(8, 1)
-	ctx, root := st.StartSpan(context.Background(), "event-to-enforcement")
-	root.SetAttr("device", "cam")
-	_, child := st.StartSpan(ctx, "reconfigure")
-	child.End()
-	root.End()
-	root.End() // idempotent
-
-	spans := st.Recent(0)
-	if len(spans) != 2 {
-		t.Fatalf("spans = %d, want 2", len(spans))
-	}
-	// Newest first: root ended last.
-	if spans[0].Name != "event-to-enforcement" || spans[1].Name != "reconfigure" {
-		t.Fatalf("order wrong: %q, %q", spans[0].Name, spans[1].Name)
-	}
-	if spans[1].ParentID != spans[0].ID || spans[1].TraceID != spans[0].TraceID {
-		t.Fatalf("child not linked: %+v vs %+v", spans[1], spans[0])
-	}
-	if len(spans[0].Attrs) != 1 || spans[0].Attrs[0].Value != "cam" {
-		t.Fatalf("attrs lost: %+v", spans[0].Attrs)
-	}
-	started, finished := st.Stats()
-	if started != 2 || finished != 2 {
-		t.Fatalf("stats = %d/%d, want 2/2", started, finished)
-	}
-}
-
-func TestSpanSampling(t *testing.T) {
-	st := NewSpanStore(64, 4)
-	for i := 0; i < 16; i++ {
-		_, sp := st.StartSpan(context.Background(), "op")
-		sp.End()
-	}
-	if got := len(st.Recent(0)); got != 4 {
-		t.Fatalf("sampled spans = %d, want 4 (1 in 4 of 16)", got)
-	}
-}
-
-func TestSpanRingBounded(t *testing.T) {
-	st := NewSpanStore(4, 1)
-	for i := 0; i < 10; i++ {
-		_, sp := st.StartSpan(context.Background(), fmt.Sprintf("op%d", i))
-		sp.End()
-	}
-	spans := st.Recent(0)
-	if len(spans) != 4 {
-		t.Fatalf("ring = %d, want 4", len(spans))
-	}
-	if spans[0].Name != "op9" || spans[3].Name != "op6" {
-		t.Fatalf("ring order wrong: %v", spans)
-	}
 }
 
 // TestConcurrentWritersAndScrapes hammers counters, gauges, vectors
